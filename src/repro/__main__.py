@@ -182,11 +182,9 @@ def _report_cache(args: argparse.Namespace, cache) -> None:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import (
-        FLEET_SCENARIOS,
         REGISTRY,
         baseline_path,
         compare_result,
-        fleet_summary_payload,
         load_baseline,
         result_payload,
         save_baseline,
@@ -209,7 +207,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     campaign = run_campaign(jobs, workers=args.jobs, cache=cache)
     by_key = campaign.by_key()
     failures = 0
-    payloads = {}
     for name in names:
         scenario = REGISTRY[name]
         job_result = by_key[f"bench:{name}"]
@@ -222,7 +219,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"{'':<24} speedup {speedup:6.2f}x vs pre-PR median "
                   f"{scenario.reference_median_s * 1000:.3f} ms")
         payload = result_payload(result, scenario)
-        payloads[name] = payload
         if args.output_dir is not None:
             save_baseline(payload, baseline_path(name, args.output_dir))
         if args.update_baselines:
@@ -241,15 +237,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(comparison.verdict_line())
             if comparison.regressed:
                 failures += 1
-    # Both fleet scenarios ran: also emit the combined BENCH_fleet.json
-    # gate document (events/sec + datacalls/sec vs the pre-PR engine).
-    if all(name in payloads for name in FLEET_SCENARIOS):
-        summary = fleet_summary_payload(payloads)
-        if args.output_dir is not None:
-            save_baseline(summary, baseline_path("fleet", args.output_dir))
-        if args.update_baselines:
-            path = save_baseline(summary, baseline_path("fleet", args.root))
-            print(f"         wrote {path}")
     if args.jobs != 1:
         print(f"campaign: {len(names)} scenario(s) across {campaign.workers} "
               f"worker(s) in {campaign.wall_s:.2f}s")

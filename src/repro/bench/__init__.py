@@ -11,7 +11,10 @@ The subsystem has four pieces:
 - :mod:`repro.bench.baseline` — ``BENCH_<scenario>.json`` persistence
   with machine/Python metadata and recorded speedups;
 - :mod:`repro.bench.compare` — the per-scenario-tolerance regression
-  comparator CI runs via ``repro bench --check``.
+  comparator CI runs via ``repro bench --check``.  It is the one bench
+  gate: the fleet throughput scenarios (``fleet_events``,
+  ``fleet_datacalls``) are checked against their own
+  ``BENCH_<scenario>.json`` like every other scenario.
 
 Quick start::
 
@@ -27,11 +30,8 @@ optimizations the benches measure never changed simulated results.
 from __future__ import annotations
 
 from repro.bench.baseline import (
-    FLEET_SCENARIOS,
-    FLEET_SPEEDUP_TARGET,
     SCHEMA_VERSION,
     baseline_path,
-    fleet_summary_payload,
     load_baseline,
     machine_metadata,
     result_payload,
@@ -53,8 +53,6 @@ __all__ = [
     "BENCH_SEED",
     "BenchResult",
     "Comparison",
-    "FLEET_SCENARIOS",
-    "FLEET_SPEEDUP_TARGET",
     "REGISTRY",
     "SCHEMA_VERSION",
     "Scenario",
@@ -63,7 +61,6 @@ __all__ = [
     "characterization_digest",
     "characterization_pair",
     "compare_result",
-    "fleet_summary_payload",
     "load_baseline",
     "machine_metadata",
     "result_payload",

@@ -23,15 +23,6 @@ SCHEMA_VERSION = 1
 
 PathLike = Union[str, Path]
 
-#: The scenarios folded into the combined ``BENCH_fleet.json`` gate
-#: document (the shared-kernel engine's headline throughput numbers).
-FLEET_SCENARIOS = ("fleet_events", "fleet_datacalls")
-
-#: The tentpole target: events/sec on the 256-node group scenario must
-#: be at least this multiple of the pre-rewrite engine's.
-FLEET_SPEEDUP_TARGET = 3.0
-
-
 def baseline_path(name: str, root: PathLike = ".") -> Path:
     """Where scenario ``name``'s baseline lives under ``root``."""
     return Path(root) / f"BENCH_{name}.json"
@@ -77,62 +68,6 @@ def result_payload(result: BenchResult, scenario: Scenario) -> Dict[str, Any]:
                 scenario.rate_per_s(scenario.reference_median_s)
             )
     return payload
-
-
-def fleet_summary_payload(payloads: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold the fleet scenarios' documents into one ``BENCH_fleet.json``.
-
-    ``payloads`` maps scenario name to its :func:`result_payload`
-    document; every scenario in :data:`FLEET_SCENARIOS` must be
-    present.  The summary carries each scenario's throughput
-    (events/sec, datacalls/sec) with its pre-PR reference, plus the
-    tentpole gate verdict: whether ``fleet_events`` hit
-    :data:`FLEET_SPEEDUP_TARGET` over the pre-rewrite engine.
-    """
-    missing = [name for name in FLEET_SCENARIOS if name not in payloads]
-    if missing:
-        raise ValueError(f"fleet summary needs {', '.join(missing)}")
-    scenarios: Dict[str, Any] = {}
-    for name in FLEET_SCENARIOS:
-        doc = payloads[name]
-        entry: Dict[str, Any] = {
-            "description": doc["description"],
-            "median_s": doc["result"]["median_s"],
-            "tolerance": doc["tolerance"],
-        }
-        units = doc.get("units")
-        if units is not None:
-            entry["unit"] = units["unit"]
-            entry["per_iteration"] = units["per_iteration"]
-            entry["rate_per_s"] = units["rate_per_s"]
-        reference = doc.get("reference")
-        if reference is not None:
-            entry["pre_pr_median_s"] = reference["pre_pr_median_s"]
-            entry["speedup"] = reference["speedup"]
-            if "pre_pr_rate_per_s" in reference:
-                entry["pre_pr_rate_per_s"] = reference["pre_pr_rate_per_s"]
-        scenarios[name] = entry
-    events = scenarios["fleet_events"]
-    return {
-        "schema": SCHEMA_VERSION,
-        "scenario": "fleet",
-        "description": (
-            "shared-kernel gate: one 256-node group's event and datacall "
-            "throughput vs the pre-rewrite per-group engine"
-        ),
-        "scenarios": scenarios,
-        "gate": {
-            "target_speedup": FLEET_SPEEDUP_TARGET,
-            "measured_speedup": events.get("speedup"),
-            "events_target_met": (
-                events.get("speedup") is not None
-                and events["speedup"] >= FLEET_SPEEDUP_TARGET
-            ),
-        },
-        "machine": machine_metadata(),
-        # lint: allow(wall-clock) -- provenance metadata, never read by simulation
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
 
 
 def save_baseline(payload: Dict[str, Any], path: PathLike) -> Path:

@@ -112,9 +112,9 @@ class GroupRun:
             if scenario is None:
                 continue
             for at, target in scenario.ladder.moves:
-                sim.post(at, self._apply_move, node, target)
+                sim.post_at(at, self._apply_move, node, target)
             for at, csq, cell in self.group.node_handover_cells.get(node.name, ()):
-                sim.post(at, self._apply_handover, node, cell, csq)
+                sim.post_at(at, self._apply_handover, node, cell, csq)
 
     def _apply_move(self, node: PlanetLabNode, target: int) -> None:
         call = self.group.call_for(node)

@@ -20,12 +20,11 @@ keeps only O(1) state per open aggregate:
   deterministic for a given sample sequence, no sample retention.
 
 Nothing here imports the simulator; the engine (or a decoder walking
-recorded logs) just calls ``add``/``observe``.  For column-shaped
-inputs — parallel lists or ``array('d')`` sample columns — the
-``add_many``/``observe_many`` bulk paths fold a whole batch per call
-with the accumulator state held in locals; they are bit-identical to
-the one-at-a-time calls (same left-to-right float accumulation), just
-several times cheaper at fleet volume.
+recorded logs) just feeds samples in.  Each aggregator has one fold:
+``StreamingWindows.add_many`` and ``StreamingStats.observe_many`` take
+a whole column batch — parallel lists or ``array('d')`` sample
+columns — with the accumulator state held in locals, and the
+one-sample ``add``/``observe`` calls are one-element batches of it.
 """
 
 from __future__ import annotations
@@ -92,14 +91,6 @@ class StreamingWindows:
     def _n_windows(self, end: float) -> int:
         return max(0, int(math.ceil((end - self.start) / self.window)))
 
-    def _index_for(self, t: float) -> int:
-        index = int((t - self.start) / self.window)
-        if self.end is not None:
-            n_windows = self._n_windows(self.end)
-            if index >= n_windows:
-                index = n_windows - 1
-        return index
-
     def _aggregate(self) -> float:
         if self._count == 0:
             return self.empty_value
@@ -126,36 +117,21 @@ class StreamingWindows:
 
     def add(self, t: float, value: float) -> None:
         """Fold one sample in.  Timestamps must be non-decreasing."""
-        if self._closed:
-            raise ValueError("cannot add to a finished StreamingWindows")
-        if t < self.start:
-            return
-        if self.end is not None and t >= self.end:
-            return
-        index = self._index_for(t)
-        if index < self._open_index:
-            raise ValueError(
-                f"sample at {t!r} belongs to window {index}, already closed "
-                f"(open window is {self._open_index})"
-            )
-        self._close_through(index)
-        self._count += 1
-        self._total += value
-        if value > self._max:
-            self._max = value
-        if value < self._min:
-            self._min = value
+        self.add_many((t,), (value,))
 
     def add_many(self, times: Sequence[float], values: Sequence[float]) -> None:
-        """Fold a whole column batch in, bit-identical to repeated :meth:`add`.
+        """Fold a whole column batch in: the one window fold.
 
         ``times`` and ``values`` are parallel sequences — plain lists or
         ``array('d')`` columns both work.  The accumulator state lives
         in locals for the duration of the batch (one attribute load per
-        batch instead of several per sample), but every float is folded
-        in strictly left to right with the same operations as
-        :meth:`add`, so window aggregates — and the golden digests built
-        from them — cannot move.
+        batch instead of several per sample), and every float is folded
+        in strictly left to right, so any split of a sample stream into
+        batches gives the same window aggregates — and the golden
+        digests built from them.  Samples before ``start`` or at/after
+        ``end`` are dropped; a sample for an already-closed window
+        raises ``ValueError`` and leaves the aggregator as it was
+        before that sample.
         """
         if self._closed:
             raise ValueError("cannot add to a finished StreamingWindows")
@@ -180,23 +156,18 @@ class StreamingWindows:
             else:
                 index = int((t - start) / window)
             if index != open_index:
-                if index < open_index:
-                    # Restore state so the error path leaves the
-                    # aggregator exactly as repeated add() would.
-                    self._count = count
-                    self._total = total
-                    self._min = vmin
-                    self._max = vmax
-                    raise ValueError(
-                        f"sample at {t!r} belongs to window {index}, already "
-                        f"closed (open window is {open_index})"
-                    )
-                # Window edge crossed: flush locals and emit through the
-                # shared close path, then resume with a fresh accumulator.
+                # Window edge crossed (or a late sample): flush locals,
+                # then emit through the shared close path and resume
+                # with a fresh accumulator.
                 self._count = count
                 self._total = total
                 self._min = vmin
                 self._max = vmax
+                if index < open_index:
+                    raise ValueError(
+                        f"sample at {t!r} belongs to window {index}, already "
+                        f"closed (open window is {open_index})"
+                    )
                 self._close_through(index)
                 open_index = self._open_index
                 count = 0
@@ -255,25 +226,15 @@ class StreamingStats:
 
     def observe(self, value: float) -> None:
         """Fold one sample in (NaN is skipped)."""
-        if value != value:
-            return
-        self.count += 1
-        self.total += value
-        if value < self.min_value:
-            self.min_value = value
-        if value > self.max_value:
-            self.max_value = value
-        delta = value - self._welford_mean
-        self._welford_mean += delta / self.count
-        self._m2 += delta * (value - self._welford_mean)
+        self.observe_many((value,))
 
     def observe_many(self, values: Sequence[float]) -> None:
-        """Fold a batch in, bit-identical to repeated :meth:`observe`.
+        """Fold a batch in: the one Welford fold (NaN is skipped).
 
         Accepts any sequence — a list or an ``array('d')`` column — and
-        runs the Welford update with all state in locals, one attribute
-        load per batch.  Accumulation order and arithmetic are exactly
-        :meth:`observe`'s, so summaries are byte-stable either way.
+        runs the update with all state in locals, one attribute load
+        per batch.  Samples fold strictly left to right, so any split
+        of a stream into batches gives byte-identical summaries.
         """
         count = self.count
         total = self.total
@@ -485,20 +446,3 @@ class QuantileSketch:
         for q, estimator in zip(self.quantiles, self._estimators):
             out[f"p{round(q * 100):02d}"] = estimator.value
         return out
-
-
-def stream_windowed(
-    samples,
-    window: float,
-    mode: str,
-    start: float = 0.0,
-    end: Optional[float] = None,
-    empty_value: Optional[float] = None,
-) -> Tuple[List[float], List[float]]:
-    """One-shot helper: stream ``(t, value)`` pairs through windows."""
-    windows = StreamingWindows(
-        window, mode=mode, start=start, end=end, empty_value=empty_value
-    )
-    for t, value in samples:
-        windows.add(t, value)
-    return windows.finish()

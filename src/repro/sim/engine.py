@@ -2,8 +2,9 @@
 
 A :class:`Simulator` owns a virtual clock and a time-bucketed event
 store.  Components schedule callbacks with :meth:`Simulator.schedule`
-(relative delay), :meth:`Simulator.schedule_at` (absolute time) or
-:meth:`Simulator.post` (fire-and-forget, no handle) and the main loop
+(relative delay) or :meth:`Simulator.schedule_at` (absolute time),
+or their handle-free twins :meth:`Simulator.post` and
+:meth:`Simulator.post_at`, all through one bucket insert, and the loop
 dispatches them in timestamp order.  Ties are broken by insertion
 order, which keeps runs bit-for-bit deterministic.
 
@@ -28,18 +29,19 @@ ran is a natural no-op, a cancelled cell is skipped by one ``is None``
 test, and nothing cancelled ever reaches — or lingers in — the heap:
 the classic lazy-deletion pile of dead heap entries cannot form.
 
-:meth:`Simulator.run` has two loops.  The **fast path** runs when
-``trace``, ``metrics``, ``profile`` and ``on_dispatch`` are all
-``None`` (the observability layer's no-sink contract): no
-``time.perf_counter`` pair, no histogram update.  The instrumented
-loop is the *same* single-scan batch loop — the historic
-``peek()``/``step()`` double scan is gone — with per-event
-instrumentation on top: metric handles are resolved once per registry
-(not per event), and profiler attribution happens through interned
-event-type ids (one hash of the callback on first sight, list indexing
-afterwards) instead of hashing callback objects on every dispatch.
-Both loops dispatch events in exactly the same order, so instrumented
-and uninstrumented runs are bit-for-bit identical.
+There is one dispatch loop.  :meth:`Simulator.run` drives it to a
+deadline (or until the queue drains) and :meth:`Simulator.step` drives
+it with a budget of one event; both leave a part-dispatched batch
+parked for the next call, so any mix of the two fires events in the
+same order.  Instrumentation is chosen per dispatch: while ``metrics``
+and ``profile`` are both ``None`` (the observability layer's no-sink
+contract) a callback is called bare — no ``time.perf_counter`` pair,
+no histogram update — and a sink a callback attaches counts from the
+next event on.  ``trace`` is never read by dispatch.  Metric handles
+are resolved once per registry, and profiler attribution goes through
+interned event-type ids (one hash of the callback on first sight, list
+indexing afterwards).  Instrumented and bare dispatches run in exactly
+the same order, so instrumented runs are bit-for-bit identical.
 """
 
 from __future__ import annotations
@@ -100,20 +102,6 @@ class Event:
         return f"<Event idx={self._idx} {state}>"
 
 
-class _DispatchRecord:
-    """An Event-shaped view of one dispatch, for ``on_dispatch`` hooks
-    and legacy profiler ``record(event, ...)`` implementations."""
-
-    __slots__ = ("time", "callback", "args")
-
-    def __init__(
-        self, time: float, callback: Callable[..., Any], args: Tuple[Any, ...]
-    ) -> None:
-        self.time = time
-        self.callback = callback
-        self.args = args
-
-
 class Simulator:
     """Single-threaded discrete-event simulator.
 
@@ -138,18 +126,15 @@ class Simulator:
         self._buckets: Dict[float, List[Any]] = {}
         #: O(1) census of scheduled, not-yet-fired, not-cancelled events.
         self._live = 0
-        #: a partially dispatched batch left by ``stop()``:
+        #: a partially dispatched batch left by ``stop()`` or ``step()``:
         #: ``(time, bucket, resume_index)``.
         self._active: Optional[Tuple[float, List[Any], int]] = None
-        self._running = False
         self._stopped = False
         #: optional :class:`~repro.obs.TraceBus`; components check this
         #: before emitting, so ``None`` keeps the stack uninstrumented.
         self.trace: Optional[Any] = None
         #: optional :class:`~repro.obs.MetricsRegistry` (same contract).
         self.metrics: Optional[Any] = None
-        #: optional ``callback(event, wall_seconds)`` run after each dispatch.
-        self.on_dispatch: Optional[Callable[[Any, float], None]] = None
         #: optional :class:`~repro.obs.SimProfiler` fed once per dispatch
         #: (same zero-cost-when-``None`` contract as ``metrics``).
         self.profile: Optional[Any] = None
@@ -166,7 +151,6 @@ class Simulator:
         self._m_depth: Any = None
         self._prof_src: Optional[Any] = None
         self._prof_intern: Dict[Any, int] = {}
-        self._prof_legacy = False
 
     @property
     def now(self) -> float:
@@ -174,11 +158,25 @@ class Simulator:
         return self._now
 
     # -- scheduling --------------------------------------------------------
-    #
-    # The bucket-insert sequence is spelled out inline in all four
-    # entry points: one Python call frame per scheduled event is
-    # measurable at fleet volume, and these four bodies are the only
-    # copies.
+
+    def _insert(
+        self, when: float, callback: Callable[..., Any], args: Tuple[Any, ...]
+    ) -> List[Any]:
+        """Append ``callback(*args)`` to the bucket at ``when``.
+
+        The one insert behind all four schedulers; ``when`` is already
+        checked.  Returns the bucket, whose last two cells are the new
+        event's.
+        """
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            bucket = self._buckets[when] = [callback, args]
+            _heappush(self._times, when)
+        else:
+            bucket.append(callback)
+            bucket.append(args)
+        self._live += 1
+        return bucket
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
@@ -187,20 +185,9 @@ class Simulator:
         (or NaN) delay raises :class:`ScheduleInPastError`.
         """
         if not delay >= 0:  # rejects negatives and NaN in one comparison
-            raise ScheduleInPastError(f"negative delay {delay!r}")
-        when = self._now + delay
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            bucket = [callback, args]
-            self._buckets[when] = bucket
-            _heappush(self._times, when)
-            idx = 0
-        else:
-            idx = len(bucket)
-            bucket.append(callback)
-            bucket.append(args)
-        self._live += 1
-        return Event(self, bucket, idx)
+            raise _bad_delay(delay)
+        bucket = self._insert(self._now + delay, callback, args)
+        return Event(self, bucket, len(bucket) - 2)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at the absolute time ``time``.
@@ -209,23 +196,9 @@ class Simulator:
         corrupt the queue ordering — raises :class:`ScheduleInPastError`.
         """
         if not time >= self._now:
-            if math.isnan(time):
-                raise ScheduleInPastError(f"cannot schedule at NaN time {time!r}")
-            raise ScheduleInPastError(
-                f"cannot schedule at {time!r}; clock already at {self._now!r}"
-            )
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            bucket = [callback, args]
-            self._buckets[time] = bucket
-            _heappush(self._times, time)
-            idx = 0
-        else:
-            idx = len(bucket)
-            bucket.append(callback)
-            bucket.append(args)
-        self._live += 1
-        return Event(self, bucket, idx)
+            raise _bad_time(time, self._now)
+        bucket = self._insert(time, callback, args)
+        return Event(self, bucket, len(bucket) - 2)
 
     def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no :class:`Event` handle.
@@ -236,16 +209,8 @@ class Simulator:
         :meth:`schedule`, including the dispatch-order tie-break.
         """
         if not delay >= 0:
-            raise ScheduleInPastError(f"negative delay {delay!r}")
-        when = self._now + delay
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [callback, args]
-            _heappush(self._times, when)
-        else:
-            bucket.append(callback)
-            bucket.append(args)
-        self._live += 1
+            raise _bad_delay(delay)
+        self._insert(self._now + delay, callback, args)
 
     def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at`: no :class:`Event` handle.
@@ -256,51 +221,12 @@ class Simulator:
         than re-derived through ``now + delay`` float arithmetic.
         """
         if not time >= self._now:
-            if math.isnan(time):
-                raise ScheduleInPastError(f"cannot schedule at NaN time {time!r}")
-            raise ScheduleInPastError(
-                f"cannot schedule at {time!r}; clock already at {self._now!r}"
-            )
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [callback, args]
-            _heappush(self._times, time)
-        else:
-            bucket.append(callback)
-            bucket.append(args)
-        self._live += 1
+            raise _bad_time(time, self._now)
+        self._insert(time, callback, args)
 
     def stop(self) -> None:
         """Make :meth:`run` return after the event being dispatched."""
         self._stopped = True
-
-    # -- introspection -----------------------------------------------------
-
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the queue is empty."""
-        active = self._active
-        if active is not None:
-            when, bucket, i = active
-            n = len(bucket)
-            while i < n:
-                if bucket[i] is not None:
-                    return when
-                i += 2
-            self._active = None  # every remaining entry was cancelled
-        times = self._times
-        buckets = self._buckets
-        while times:
-            head = times[0]
-            bucket = buckets.get(head)
-            if bucket is None:  # duplicate timestamp, bucket already taken
-                _heappop(times)
-                continue
-            for i in range(0, len(bucket), 2):
-                if bucket[i] is not None:
-                    return head
-            _heappop(times)  # all-stale bucket: drop it whole
-            del buckets[head]
-        return None
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
@@ -308,45 +234,88 @@ class Simulator:
 
     # -- dispatch ----------------------------------------------------------
 
+    def run(self, until: Optional[float] = None) -> float:
+        """Run the event loop.
+
+        With ``until=None`` the loop drains the queue completely.  With a
+        deadline, events strictly after ``until`` are left pending and
+        the clock is advanced exactly to ``until``; a NaN deadline
+        raises :class:`ScheduleInPastError`.  Returns the final clock
+        value.
+        """
+        if until is not None and until != until:
+            raise _bad_time(until, self._now)
+        self._stopped = False
+        self._dispatch(math.inf if until is None else until, 0)
+        if until is not None and self._now < until:
+            self._now = until
+        return self._now
+
     def step(self) -> bool:
         """Dispatch the next event.  Returns ``False`` if none remained."""
+        return self._dispatch(math.inf, 1) == 1
+
+    def _dispatch(self, until: float, budget: int) -> int:
+        """The dispatch loop behind :meth:`run` and :meth:`step`.
+
+        Fires live events in (time, insertion) order — one heap pop per
+        *batch* of same-instant events — until the queue is empty, the
+        next event lies past ``until``, a callback calls :meth:`stop`,
+        or ``budget`` events have fired (``0``: no budget).  A batch
+        left part-way is parked in ``_active`` for the next call.
+        Returns the number of events fired.
+        """
+        times = self._times
+        buckets = self._buckets
+        fired = 0
         while True:
             active = self._active
             if active is not None:
                 when, bucket, i = active
-                n = len(bucket)
-                while i < n:
-                    cb = bucket[i]
-                    args = bucket[i + 1]
-                    i += 2
-                    if cb is None:  # cancelled: tombstoned cell
-                        continue
-                    bucket[i - 2] = None  # fired: a late cancel is a no-op
-                    self._active = (when, bucket, i) if i < n else None
-                    self._fire(when, cb, args)
-                    return True
+                if when > until:
+                    return fired
                 self._active = None
-            times = self._times
-            if not times:
-                return False
-            when = _heappop(times)
-            bucket = self._buckets.pop(when, None)
-            if bucket is not None:
-                self._active = (when, bucket, 0)
-
-    def _fire(self, when: float, cb: Callable[..., Any], args: Tuple[Any, ...]) -> None:
-        """Fire one live event (shared by :meth:`step`'s single-step path)."""
-        self._now = when
-        self._live -= 1
-        if self.metrics is None and self.on_dispatch is None and self.profile is None:
-            cb(*args)
-        else:
-            self._dispatch_instrumented(cb, args)
+            else:
+                if not times:
+                    return fired
+                when = times[0]
+                if when > until:
+                    return fired
+                _heappop(times)
+                maybe = buckets.pop(when, None)
+                if maybe is None:  # duplicate timestamp, already dispatched
+                    continue
+                bucket = maybe
+                i = 0
+            n = len(bucket)
+            while i < n:
+                cb = bucket[i]
+                if cb is None:  # cancelled: tombstoned cell
+                    i += 2
+                    continue
+                args = bucket[i + 1]
+                bucket[i] = None  # fired: a late cancel is a no-op
+                i += 2
+                self._live -= 1
+                # The clock moves only when something actually
+                # fires: an all-cancelled bucket must not advance it.
+                self._now = when
+                # Sinks are read per dispatch, so one attached by a
+                # callback counts from the next event on.
+                if self.metrics is None and self.profile is None:
+                    cb(*args)
+                else:
+                    self._dispatch_instrumented(cb, args)
+                fired += 1
+                if fired == budget or self._stopped:
+                    if i < n:
+                        self._active = (when, bucket, i)
+                    return fired
 
     def _dispatch_instrumented(
         self, cb: Callable[..., Any], args: Tuple[Any, ...]
     ) -> None:
-        """Dispatch one event under timing/metrics instrumentation."""
+        """Dispatch one event under timing/metrics/profile instrumentation."""
         start = time.perf_counter()
         cb(*args)
         elapsed = time.perf_counter() - start
@@ -367,154 +336,27 @@ class Simulator:
             if profile is not self._prof_src:
                 self._prof_src = profile
                 self._prof_intern = {}
-                self._prof_legacy = not hasattr(profile, "record_typed")
-            if self._prof_legacy:
-                profile.record(_DispatchRecord(self._now, cb, args), self._now, elapsed)
+            intern = self._prof_intern
+            try:
+                tid: Optional[int] = intern.get(cb)
+            except TypeError:  # unhashable callback: re-register (rare)
+                tid = None
             else:
-                intern = self._prof_intern
-                try:
-                    tid: Optional[int] = intern.get(cb)
-                except TypeError:  # unhashable callback: re-register (rare)
-                    tid = None
-                else:
-                    if tid is None:
-                        tid = profile.register_type(cb)
-                        intern[cb] = tid
                 if tid is None:
                     tid = profile.register_type(cb)
-                profile.record_typed(tid, self._now, elapsed)
-        if self.on_dispatch is not None:
-            self.on_dispatch(_DispatchRecord(self._now, cb, args), elapsed)
+                    intern[cb] = tid
+            if tid is None:
+                tid = profile.register_type(cb)
+            profile.record_typed(tid, self._now, elapsed)
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Run the event loop.
 
-        With ``until=None`` the loop drains the queue completely.  With a
-        deadline, events strictly after ``until`` are left pending and
-        the clock is advanced exactly to ``until``.  Returns the final
-        clock value.
+def _bad_delay(delay: float) -> ScheduleInPastError:
+    """The error for a relative delay that is negative or NaN."""
+    return ScheduleInPastError(f"negative delay {delay!r}")
 
-        When ``trace``, ``metrics``, ``profile`` and ``on_dispatch``
-        are all ``None`` a tight fast path is used; dispatch order is
-        identical either way.
-        """
-        self._running = True
-        self._stopped = False
-        try:
-            if (
-                self.trace is None
-                and self.metrics is None
-                and self.on_dispatch is None
-                and self.profile is None
-            ):
-                self._run_fast(until)
-            else:
-                self._run_instrumented(until)
-        finally:
-            self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
 
-    def _run_fast(self, until: Optional[float]) -> None:
-        """Uninstrumented loop: locals hoisted, one heap pop per *batch*."""
-        if until is None:
-            until = math.inf
-        times = self._times
-        buckets = self._buckets
-        pop = _heappop
-        while not self._stopped:
-            active = self._active
-            if active is not None:
-                when, bucket, i = active
-                if when > until:
-                    return
-                self._active = None
-            else:
-                if not times:
-                    return
-                when = times[0]
-                if when > until:
-                    return
-                pop(times)
-                maybe = buckets.pop(when, None)
-                if maybe is None:  # duplicate timestamp, already dispatched
-                    continue
-                bucket = maybe
-                i = 0
-            n = len(bucket)
-            while i < n:
-                cb = bucket[i]
-                if cb is None:  # cancelled: tombstoned cell
-                    i += 2
-                    continue
-                args = bucket[i + 1]
-                bucket[i] = None  # fired: a late cancel is a no-op
-                i += 2
-                self._live -= 1
-                # The clock moves only when something actually
-                # fires: an all-cancelled bucket must not advance it.
-                self._now = when
-                cb(*args)
-                if self._stopped:
-                    if i < n:
-                        self._active = (when, bucket, i)
-                    return
-
-    def _run_instrumented(self, until: Optional[float]) -> None:
-        """The same single-scan batch loop, with per-event instrumentation.
-
-        Mirrors :meth:`_run_fast` exactly (same batch walk, same
-        generation checks) so dispatch order cannot diverge; the only
-        additions are the per-event timing/metrics/profile calls, and a
-        per-event sink check so instrumentation attached mid-run by a
-        callback takes effect immediately (matching the historic
-        ``peek``/``step`` loop's behaviour).
-        """
-        if until is None:
-            until = math.inf
-        times = self._times
-        buckets = self._buckets
-        pop = _heappop
-        while not self._stopped:
-            active = self._active
-            if active is not None:
-                when, bucket, i = active
-                if when > until:
-                    return
-                self._active = None
-            else:
-                if not times:
-                    return
-                when = times[0]
-                if when > until:
-                    return
-                pop(times)
-                maybe = buckets.pop(when, None)
-                if maybe is None:
-                    continue
-                bucket = maybe
-                i = 0
-            n = len(bucket)
-            while i < n:
-                cb = bucket[i]
-                if cb is None:  # cancelled: tombstoned cell
-                    i += 2
-                    continue
-                args = bucket[i + 1]
-                bucket[i] = None  # fired: a late cancel is a no-op
-                i += 2
-                self._live -= 1
-                self._now = when
-                if (
-                    self.metrics is None
-                    and self.on_dispatch is None
-                    and self.profile is None
-                ):
-                    cb(*args)
-                else:
-                    self._dispatch_instrumented(cb, args)
-                if self._stopped:
-                    if i < n:
-                        self._active = (when, bucket, i)
-                    return
+def _bad_time(time: float, now: float) -> ScheduleInPastError:
+    """The error for an absolute time before ``now``, or NaN."""
+    if math.isnan(time):
+        return ScheduleInPastError(f"cannot schedule at NaN time {time!r}")
+    return ScheduleInPastError(f"cannot schedule at {time!r}; clock already at {now!r}")

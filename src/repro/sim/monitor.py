@@ -7,16 +7,18 @@ friends produce exactly that kind of windowed series, which the benches
 print as the figures' data rows.
 
 The standard aggregations (mean/sum/count) stream through
+:func:`windowed_series`, the one wrapper around
 :class:`repro.obs.streaming.StreamingWindows` — constant memory beyond
 the output, same floats as the historical bucket-table implementation.
 :meth:`TimeSeries.window_aggregate` keeps the buffered path for
-arbitrary aggregation callables.
+arbitrary aggregation callables, and is the reference the streaming
+fold is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.streaming import StreamingWindows
 
@@ -85,6 +87,12 @@ class TimeSeries:
                 out.add(t, v)
         return out
 
+    def _span_end(self, window: float, start: float, end: Optional[float]) -> float:
+        """``end``, defaulting to the end of the last sample's window."""
+        if end is not None:
+            return end
+        return self.times[-1] + window if self.times else start
+
     def window_aggregate(
         self,
         window: float,
@@ -100,8 +108,7 @@ class TimeSeries:
         """
         if window <= 0:
             raise ValueError(f"window must be positive, got {window!r}")
-        if end is None:
-            end = self.times[-1] + window if self.times else start
+        end = self._span_end(window, start, end)
         out = TimeSeries(self.name)
         n_windows = max(0, int(math.ceil((end - start) / window)))
         buckets: List[List[float]] = [[] for _ in range(n_windows)]
@@ -117,45 +124,59 @@ class TimeSeries:
             out.add(start + i * window, value)
         return out
 
-    def _window_streaming(
-        self, window: float, mode: str, start: float, end: Optional[float]
-    ) -> "TimeSeries":
-        """Stream the samples through one online window aggregator."""
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window!r}")
-        if end is None:
-            end = self.times[-1] + window if self.times else start
-        agg = StreamingWindows(window, mode=mode, start=start, end=end)
-        # The series already holds parallel columns: one bulk call
-        # replaces a per-sample add() loop on the hot analysis path.
-        agg.add_many(self.times, self.values)
-        times, values = agg.finish()
-        out = TimeSeries(self.name)
-        out.times = times
-        out.values = values
-        return out
-
     def window_average(
         self, window: float, start: float = 0.0, end: Optional[float] = None
     ) -> "TimeSeries":
         """Windowed arithmetic mean (the paper's reporting method)."""
-        return self._window_streaming(window, "mean", start, end)
+        return windowed_series(
+            self.name, window, "mean", ((self.times, self.values),),
+            start, self._span_end(window, start, end),
+        )
 
     def window_sum(
         self, window: float, start: float = 0.0, end: Optional[float] = None
     ) -> "TimeSeries":
         """Windowed sum; empty windows yield 0 (e.g. bytes per window)."""
-        return self._window_streaming(window, "sum", start, end)
+        return windowed_series(
+            self.name, window, "sum", ((self.times, self.values),),
+            start, self._span_end(window, start, end),
+        )
 
     def window_count(
         self, window: float, start: float = 0.0, end: Optional[float] = None
     ) -> "TimeSeries":
         """Windowed sample count; empty windows yield 0."""
-        return self._window_streaming(window, "count", start, end)
+        return windowed_series(
+            self.name, window, "count", ((self.times, self.values),),
+            start, self._span_end(window, start, end),
+        )
 
     def as_pairs(self) -> List[Tuple[float, float]]:
         """The series as a list of (time, value) tuples."""
         return list(zip(self.times, self.values))
+
+
+def windowed_series(
+    name: str,
+    window: float,
+    mode: str,
+    batches: Iterable[Tuple[Sequence[float], Sequence[float]]],
+    start: float,
+    end: float,
+) -> TimeSeries:
+    """Fold ``(times, values)`` column batches into one windowed series.
+
+    The one streaming path from samples to a windowed
+    :class:`TimeSeries`: every batch goes through one
+    :class:`StreamingWindows` in order, so a caller may hand over a
+    whole series as one batch or drain a sample stream in chunks.
+    """
+    agg = StreamingWindows(window, mode=mode, start=start, end=end)
+    for times, values in batches:
+        agg.add_many(times, values)
+    out = TimeSeries(name)
+    out.times, out.values = agg.finish()
+    return out
 
 
 class Monitor:

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from repro.obs.streaming import StreamingWindows
-from repro.sim.monitor import TimeSeries
+from repro.sim.monitor import TimeSeries, windowed_series
 from repro.traffic.records import ReceiverLog, SenderLog
 
 DEFAULT_WINDOW = 0.2
@@ -30,6 +29,28 @@ DEFAULT_WINDOW = 0.2
 #: window aggregator: big enough to amortize the call, small enough to
 #: keep the decoder constant-memory.
 _INGEST_CHUNK = 4096
+
+
+def _columns(
+    samples: Iterable[Tuple[float, float]],
+) -> Iterator[Tuple[array[float], array[float]]]:
+    """Drain time-ordered ``(t, value)`` pairs into column batches.
+
+    No raw per-sample series is buffered: the pairs fill fixed-size
+    ``array('d')`` columns that are handed over (and reused) one chunk
+    at a time, so memory stays constant beyond the windowed output
+    while the window fold runs at the batch rate.
+    """
+    t_col = array("d")
+    v_col = array("d")
+    for t, value in samples:
+        t_col.append(t)
+        v_col.append(value)
+        if len(t_col) >= _INGEST_CHUNK:
+            yield t_col, v_col
+            del t_col[:], v_col[:]
+    if t_col:
+        yield t_col, v_col
 
 
 class FlowSummary(NamedTuple):
@@ -101,46 +122,17 @@ class ItgDecoder:
         """Received records in arrival order (logs may interleave)."""
         return sorted(self.receiver_log.received, key=lambda r: r.received_at)
 
-    def _windowed(
-        self,
-        name: str,
-        mode: str,
-        samples: Iterable[Tuple[float, float]],
-        end: float,
-    ) -> TimeSeries:
-        """Stream time-ordered samples straight into the paper's windows.
-
-        No raw per-sample series is buffered: samples are drained into
-        fixed-size ``array('d')`` column chunks and bulk-ingested, so
-        memory stays constant beyond the windowed output itself while
-        the aggregation loop runs at the batch rate.
-        """
-        agg = StreamingWindows(self.window, mode=mode, start=0.0, end=end)
-        t_col = array("d")
-        v_col = array("d")
-        for t, value in samples:
-            t_col.append(t)
-            v_col.append(value)
-            if len(t_col) >= _INGEST_CHUNK:
-                agg.add_many(t_col, v_col)
-                del t_col[:], v_col[:]
-        if t_col:
-            agg.add_many(t_col, v_col)
-        times, values = agg.finish()
-        out = TimeSeries(name)
-        out.times = times
-        out.values = values
-        return out
-
     def bitrate_kbps(self, end: Optional[float] = None) -> TimeSeries:
         """Received payload bitrate per window, in kbit/s."""
-        series = self._windowed(
+        series = windowed_series(
             "bitrate_kbps",
+            self.window,
             "sum",
-            (
+            _columns(
                 (record.received_at - self.origin, record.size * 8.0)
                 for record in self._arrivals()
             ),
+            0.0,
             self._span(end) - self.origin,
         )
         series.values = [bits / self.window / 1000.0 for bits in series.values]
@@ -148,13 +140,15 @@ class ItgDecoder:
 
     def owd_series(self, end: Optional[float] = None) -> TimeSeries:
         """Mean one-way delay per window, in seconds."""
-        return self._windowed(
+        return windowed_series(
             "owd",
+            self.window,
             "mean",
-            (
+            _columns(
                 (record.received_at - self.origin, record.owd)
                 for record in self._arrivals()
             ),
+            0.0,
             self._span(end) - self.origin,
         )
 
@@ -167,22 +161,29 @@ class ItgDecoder:
 
     def jitter_series(self, end: Optional[float] = None) -> TimeSeries:
         """Mean |OWD variation| between consecutive arrivals, per window."""
-        return self._windowed(
-            "jitter", "mean", self._jitter_samples(), self._span(end) - self.origin
+        return windowed_series(
+            "jitter",
+            self.window,
+            "mean",
+            _columns(self._jitter_samples()),
+            0.0,
+            self._span(end) - self.origin,
         )
 
     def loss_series(self, end: Optional[float] = None) -> TimeSeries:
         """Packets lost per window (binned by send time)."""
-        return self._windowed(
+        return windowed_series(
             "loss",
+            self.window,
             "sum",
-            (
+            _columns(
                 (
                     record.sent_at - self.origin,
                     0.0 if self.receiver_log.has_seq(record.seq) else 1.0,
                 )
                 for record in sorted(self.sender_log.sent, key=lambda r: r.sent_at)
             ),
+            0.0,
             self.send_end - self.origin + self.window,
         )
 
@@ -192,10 +193,12 @@ class ItgDecoder:
             (record.completed_at - record.rtt, record.rtt)
             for record in self.sender_log.rtt
         )
-        return self._windowed(
+        return windowed_series(
             "rtt",
+            self.window,
             "mean",
-            ((sent_at - self.origin, rtt) for sent_at, rtt in samples),
+            _columns((sent_at - self.origin, rtt) for sent_at, rtt in samples),
+            0.0,
             self.send_end - self.origin + self.window,
         )
 

@@ -5,14 +5,11 @@ import json
 import pytest
 
 from repro.bench import (
-    FLEET_SCENARIOS,
-    FLEET_SPEEDUP_TARGET,
     REGISTRY,
     BenchResult,
     Scenario,
     baseline_path,
     compare_result,
-    fleet_summary_payload,
     load_baseline,
     machine_metadata,
     result_payload,
@@ -82,77 +79,40 @@ def _fleet_doc(name, unit, count, median, reference):
     return result_payload(BenchResult(name, [median], warmup=1), scenario)
 
 
-def test_fleet_summary_payload_carries_rates_and_gate():
-    payloads = {
-        "fleet_events": _fleet_doc("fleet_events", "events", 134400, 0.08, 0.264),
-        "fleet_datacalls": _fleet_doc("fleet_datacalls", "datacalls", 16, 0.33, 0.34),
-    }
-    summary = fleet_summary_payload(payloads)
-    assert summary["scenario"] == "fleet"
-    events = summary["scenarios"]["fleet_events"]
-    assert events["unit"] == "events"
-    assert events["rate_per_s"] == pytest.approx(134400 / 0.08)
-    assert events["speedup"] == pytest.approx(0.264 / 0.08)
-    assert summary["scenarios"]["fleet_datacalls"]["unit"] == "datacalls"
-    gate = summary["gate"]
-    assert gate["target_speedup"] == FLEET_SPEEDUP_TARGET
-    assert gate["events_target_met"] is True
-    # A fresh measurement below the target flips the verdict.
-    slow = dict(payloads)
-    slow["fleet_events"] = _fleet_doc("fleet_events", "events", 134400, 0.2, 0.264)
-    assert fleet_summary_payload(slow)["gate"]["events_target_met"] is False
+def test_fleet_payload_carries_rates_and_reference():
+    events = _fleet_doc("fleet_events", "events", 134400, 0.08, 0.264)
+    assert events["units"]["unit"] == "events"
+    assert events["units"]["rate_per_s"] == pytest.approx(134400 / 0.08)
+    assert events["reference"]["speedup"] == pytest.approx(0.264 / 0.08)
+    assert events["reference"]["pre_pr_rate_per_s"] == pytest.approx(134400 / 0.264)
+    datacalls = _fleet_doc("fleet_datacalls", "datacalls", 16, 0.33, 0.34)
+    assert datacalls["units"]["unit"] == "datacalls"
 
 
-def test_fleet_summary_requires_every_fleet_scenario():
-    docs = {"fleet_events": _fleet_doc("fleet_events", "events", 10, 0.1, 0.3)}
-    with pytest.raises(ValueError, match="fleet_datacalls"):
-        fleet_summary_payload(docs)
-    assert set(FLEET_SCENARIOS) == {"fleet_events", "fleet_datacalls"}
-
-
-def test_fleet_gate_delta_flags_events_regression(tmp_path):
-    from repro.bench.fleet_gate import fleet_delta, main
-
-    committed = fleet_summary_payload({
-        "fleet_events": _fleet_doc("fleet_events", "events", 134400, 0.08, 0.264),
-        "fleet_datacalls": _fleet_doc("fleet_datacalls", "datacalls", 16, 0.33, 0.34),
-    })
-    fresh = fleet_summary_payload({
-        "fleet_events": _fleet_doc("fleet_events", "events", 134400, 0.2, 0.264),
-        "fleet_datacalls": _fleet_doc("fleet_datacalls", "datacalls", 16, 0.33, 0.34),
-    })
-    delta = fleet_delta(committed, fresh)
-    assert delta["deltas"]["fleet_events"]["regressed"] is True  # 2.5x slower
-    assert delta["deltas"]["fleet_datacalls"]["regressed"] is False
+def test_check_flags_fleet_events_regression():
+    """``repro bench --check`` gates fleet throughput like any scenario."""
+    committed = _fleet_doc("fleet_events", "events", 134400, 0.08, 0.264)
+    slower = BenchResult("fleet_events", [0.2], warmup=1)  # 2.5x slower
+    # Regressed at the scenario tolerance and at CI's 3x scale alike.
+    assert compare_result(committed, slower, committed["tolerance"]).regressed
+    assert compare_result(committed, slower, committed["tolerance"], scale=3.0).regressed
+    same = BenchResult("fleet_datacalls", [0.33], warmup=1)
+    datacalls = _fleet_doc("fleet_datacalls", "datacalls", 16, 0.33, 0.34)
+    assert not compare_result(datacalls, same, datacalls["tolerance"]).regressed
     with pytest.raises(ValueError):
-        fleet_delta(committed, fresh, tolerance_scale=0.0)
-    # End-to-end through main(): exit 1 plus the delta artifact.
-    root = tmp_path / "root"
-    out = tmp_path / "fresh"
-    root.mkdir()
-    out.mkdir()
-    save_baseline(committed, baseline_path("fleet", root))
-    save_baseline(fresh, baseline_path("fleet", out))
-    assert main(["--fresh", str(out), "--root", str(root)]) == 1
-    artifact = json.loads((out / "BENCH_fleet_delta.json").read_text())
-    assert artifact["deltas"]["fleet_events"]["regressed"] is True
-    # Identical documents pass, and a missing baseline is exit 2.
-    save_baseline(committed, baseline_path("fleet", out))
-    assert main(["--fresh", str(out), "--root", str(root)]) == 0
-    assert main(["--fresh", str(tmp_path), "--root", str(root)]) == 2
+        compare_result(committed, slower, committed["tolerance"], scale=0.0)
 
 
 def test_committed_fleet_gate_document_is_green():
-    """The repo's own BENCH_fleet.json must show the 3x gate met."""
+    """The committed fleet baselines must show the 3x events gate met."""
     import pathlib
 
-    doc = json.loads(
-        (pathlib.Path(__file__).resolve().parents[2] / "BENCH_fleet.json").read_text()
-    )
-    assert doc["gate"]["target_speedup"] == FLEET_SPEEDUP_TARGET
-    assert doc["gate"]["events_target_met"] is True
-    assert doc["scenarios"]["fleet_events"]["unit"] == "events"
-    assert doc["scenarios"]["fleet_datacalls"]["unit"] == "datacalls"
+    root = pathlib.Path(__file__).resolve().parents[2]
+    events = json.loads((root / "BENCH_fleet_events.json").read_text())
+    assert events["reference"]["speedup"] >= 3.0
+    assert events["units"]["unit"] == "events"
+    datacalls = json.loads((root / "BENCH_fleet_datacalls.json").read_text())
+    assert datacalls["units"]["unit"] == "datacalls"
 
 
 def test_load_baseline_missing_and_bad_schema(tmp_path):

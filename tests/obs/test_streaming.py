@@ -20,7 +20,6 @@ from repro.obs.streaming import (
     QuantileSketch,
     StreamingStats,
     StreamingWindows,
-    stream_windowed,
 )
 from repro.sim.monitor import TimeSeries
 
@@ -61,10 +60,13 @@ class TestStreamingWindows:
         buffered = series.window_aggregate(
             QOS_WINDOW, BUFFERED_FUNCS[mode], empty_value=empty
         )
-        times, values = stream_windowed(
-            series.as_pairs(), QOS_WINDOW, mode, empty_value=empty,
+        agg = StreamingWindows(
+            QOS_WINDOW, mode=mode, empty_value=empty,
             end=series.times[-1] + QOS_WINDOW,
         )
+        for t, value in series.as_pairs():
+            agg.add(t, value)
+        times, values = agg.finish()
         assert times == buffered.times
         _values_equal(values, buffered.values)
 
@@ -74,9 +76,9 @@ class TestStreamingWindows:
         buffered = series.window_aggregate(
             0.5, BUFFERED_FUNCS["mean"], start=start, end=end
         )
-        times, values = stream_windowed(
-            series.as_pairs(), 0.5, "mean", start=start, end=end
-        )
+        agg = StreamingWindows(0.5, mode="mean", start=start, end=end)
+        agg.add_many(series.times, series.values)
+        times, values = agg.finish()
         assert times == buffered.times
         _values_equal(values, buffered.values)
 
@@ -90,9 +92,9 @@ class TestStreamingWindows:
         assert values == [1.0, 0.0, 1.0]
 
     def test_gap_windows_get_the_empty_value(self):
-        times, values = stream_windowed(
-            [(0.1, 2.0), (2.1, 4.0)], 1.0, "mean", end=3.0
-        )
+        agg = StreamingWindows(1.0, mode="mean", end=3.0)
+        agg.add_many([0.1, 2.1], [2.0, 4.0])
+        times, values = agg.finish()
         assert times == [0.0, 1.0, 2.0]
         assert values[0] == 2.0
         assert math.isnan(values[1])

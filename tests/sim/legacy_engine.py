@@ -15,8 +15,7 @@ beyond the first two fields and the :class:`Event` objects themselves
 are never compared.
 
 :meth:`Simulator.run` has two loops.  The **fast path** runs when
-``trace``, ``metrics``, ``profile`` and ``on_dispatch`` are all
-``None`` (the
+``trace``, ``metrics`` and ``profile`` are all ``None`` (the
 observability layer's no-sink contract): no ``time.perf_counter``
 pair, no histogram update, no per-event ``peek``/``step`` method-call
 round-trip.  Attaching instrumentation *mid-run* from inside a
@@ -96,8 +95,6 @@ class Simulator:
         self.trace: Optional[Any] = None
         #: optional :class:`~repro.obs.MetricsRegistry` (same contract).
         self.metrics: Optional[Any] = None
-        #: optional ``callback(event, wall_seconds)`` run after each dispatch.
-        self.on_dispatch: Optional[Callable[[Event, float], None]] = None
         #: optional :class:`~repro.obs.SimProfiler` fed once per dispatch
         #: (same zero-cost-when-``None`` contract as ``metrics``).
         self.profile: Optional[Any] = None
@@ -162,7 +159,7 @@ class Simulator:
             if event.cancelled:
                 continue
             self._now = when
-            if self.metrics is None and self.on_dispatch is None and self.profile is None:
+            if self.metrics is None and self.profile is None:
                 event.callback(*event.args)
             else:
                 self._dispatch_instrumented(event)
@@ -183,9 +180,7 @@ class Simulator:
             metrics.gauge("engine.queue_depth").set(len(self._heap))
         profile = self.profile
         if profile is not None:
-            profile.record(event, self._now, elapsed)
-        if self.on_dispatch is not None:
-            self.on_dispatch(event, elapsed)
+            profile.record_typed(profile.register_type(event.callback), self._now, elapsed)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run the event loop.
@@ -195,8 +190,8 @@ class Simulator:
         the clock is advanced exactly to ``until``.  Returns the final
         clock value.
 
-        When ``trace``, ``metrics``, ``profile`` and ``on_dispatch``
-        are all ``None`` a tight fast path is used; dispatch order is
+        When ``trace``, ``metrics`` and ``profile`` are all ``None``
+        a tight fast path is used; dispatch order is
         identical either way.
         """
         self._running = True
@@ -205,7 +200,6 @@ class Simulator:
             if (
                 self.trace is None
                 and self.metrics is None
-                and self.on_dispatch is None
                 and self.profile is None
             ):
                 self._run_fast(until)

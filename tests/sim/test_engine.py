@@ -122,16 +122,19 @@ def test_stop_halts_run():
     assert fired == ["a", "c"]
 
 
-def test_peek_skips_cancelled():
+def test_step_skips_cancelled():
     sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
+    fired = []
+    event = sim.schedule(1.0, fired.append, "a")
+    sim.schedule(2.0, fired.append, "b")
     event.cancel()
-    assert sim.peek() == 2.0
+    assert sim.step() is True
+    assert fired == ["b"]
+    assert sim.now == 2.0
 
 
-def test_peek_empty_returns_none():
-    assert Simulator().peek() is None
+def test_step_empty_returns_false():
+    assert Simulator().step() is False
 
 
 def test_pending_count_excludes_cancelled():

@@ -4,15 +4,17 @@ These pin down the behaviours the fast-path rewrite must preserve:
 cancellation of already-dispatched events, scheduling at exactly
 ``now``, ``run(until=...)`` boundary inclusivity, tie-break ordering
 under heavy same-timestamp load, and the schedule guards (negative,
-past, NaN).  The fast and instrumented loops are also run against the
-same workload to prove identical dispatch order.
+past, NaN).  Bare and instrumented dispatch are also run against the
+same workload to prove identical dispatch order, and sinks attached by
+a callback must count from the next dispatch under ``run`` and
+``step`` alike.
 """
 
 import math
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, SimProfiler
 from repro.sim.engine import Simulator
 from repro.sim.errors import ScheduleInPastError
 
@@ -102,6 +104,19 @@ def test_nan_delay_and_time_rejected():
         sim.schedule(math.nan, lambda: None)
     with pytest.raises(ScheduleInPastError):
         sim.schedule_at(math.nan, lambda: None)
+    with pytest.raises(ScheduleInPastError):
+        sim.post(math.nan, lambda: None)
+    with pytest.raises(ScheduleInPastError):
+        sim.post_at(math.nan, lambda: None)
+    # A NaN deadline is rejected too, instead of draining the queue.
+    fired = []
+    sim.schedule(5.0, fired.append, 5.0)
+    sim.schedule(500.0, fired.append, 500.0)
+    with pytest.raises(ScheduleInPastError):
+        sim.run(until=math.nan)
+    assert fired == []
+    assert sim.now == 0.0
+    assert sim.pending_count() == 2
 
 
 def test_stop_from_callback_halts_fast_path():
@@ -148,3 +163,29 @@ def test_fast_and_instrumented_paths_dispatch_identically():
     assert plain_sim.now == metered_sim.now
     dispatched = metered_sim.metrics.counter("engine.events_dispatched").value
     assert dispatched == len(metered_fired)
+
+
+@pytest.mark.parametrize("driver", ["run", "step"])
+def test_sinks_attached_mid_run_count_from_next_dispatch(driver):
+    sim = Simulator()
+    registry = MetricsRegistry()
+    profiler = SimProfiler()
+    fired = []
+
+    def attach():
+        sim.metrics = registry
+        sim.profile = profiler
+
+    sim.schedule(1.0, fired.append, "before")
+    sim.schedule(2.0, attach)
+    sim.schedule(2.0, fired.append, "same-instant")
+    sim.schedule(3.0, fired.append, "after")
+    if driver == "run":
+        sim.run()
+    else:
+        while sim.step():
+            pass
+    assert fired == ["before", "same-instant", "after"]
+    # The attaching dispatch itself ran bare; the two after it count.
+    assert registry.counter("engine.events_dispatched").value == 2
+    assert profiler.total_events == 2

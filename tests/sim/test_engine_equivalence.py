@@ -7,7 +7,9 @@ directly: for *any* program of schedules, nested schedules,
 schedule-at-``now`` calls and cancellations (at build time or
 mid-dispatch), the new kernel and the preserved pre-rewrite engine
 (``tests/sim/legacy_engine.py``) must dispatch the same callbacks in
-the same order at the same clock readings.
+the same order at the same clock readings — whether the kernel's one
+dispatch loop is driven by ``run`` or one ``step`` at a time, metered
+or not.
 """
 
 from hypothesis import given, settings
@@ -30,11 +32,17 @@ _OPS = st.tuples(
 
 _PROGRAMS = st.lists(_OPS, min_size=1, max_size=60)
 
-_UNTIL_FRAMES = st.one_of(st.none(), st.integers(min_value=0, max_value=30))
+#: How a program is driven: one draining ``run``, a ``run`` to a frame
+#: and then a draining one, or ``step()`` until the queue is empty.
+_UNTIL_FRAMES = st.one_of(
+    st.none(), st.just("step"), st.integers(min_value=0, max_value=30)
+)
 
 
 def _execute(sim, program, until_frame):
     """Run one program and return its observable behaviour.
+
+    ``until_frame`` is one of :data:`_UNTIL_FRAMES`' drivers.
 
     The interpreter only uses the public engine API, and every decision
     (which handle a ``cancel`` targets, what a ``spawn`` schedules) is a
@@ -63,10 +71,14 @@ def _execute(sim, program, until_frame):
             event.cancel()
 
     boundary_state = None
-    if until_frame is not None:
-        sim.run(until=until_frame * GRID)
-        boundary_state = (sim.now, sim.pending_count())
-    sim.run()
+    if until_frame == "step":
+        while sim.step():
+            pass
+    else:
+        if until_frame is not None:
+            sim.run(until=until_frame * GRID)
+            boundary_state = (sim.now, sim.pending_count())
+        sim.run()
     return fired, boundary_state, sim.now, sim.pending_count()
 
 
@@ -81,15 +93,15 @@ def test_kernel_matches_legacy_engine_for_any_program(program, until_frame):
     assert new[3] == 0
 
 
-@given(program=_PROGRAMS)
+@given(program=_PROGRAMS, driver=st.sampled_from([None, "step"]))
 @settings(max_examples=50, deadline=None)
-def test_kernel_instrumented_loop_matches_legacy_engine(program):
-    """The single-scan instrumented loop preserves dispatch order too."""
+def test_kernel_instrumented_loop_matches_legacy_engine(program, driver):
+    """Instrumented dispatch preserves dispatch order, run- or step-driven."""
     from repro.obs import MetricsRegistry
 
     sim = Simulator()
     sim.metrics = MetricsRegistry()
-    instrumented = _execute(sim, program, None)
+    instrumented = _execute(sim, program, driver)
     legacy = _execute(LegacySimulator(), program, None)
     assert instrumented == legacy
     dispatched = sim.metrics.counter("engine.events_dispatched").value
