@@ -8,7 +8,7 @@ protocol numbers used throughout the stack.
 from __future__ import annotations
 
 import ipaddress
-from typing import Union
+from typing import Tuple, Union
 
 IPv4Address = ipaddress.IPv4Address
 IPv4Network = ipaddress.IPv4Network
@@ -48,6 +48,12 @@ def network(value: NetworkLike) -> IPv4Network:
     if "/" not in value:
         return IPv4Network(f"{value}/32")
     return IPv4Network(value, strict=False)
+
+
+def prefix_bits(prefix: IPv4Network) -> Tuple[int, int]:
+    """``(network, netmask)`` of ``prefix`` as ints: ``addr`` is inside
+    exactly when ``int(addr) & netmask == network``."""
+    return int(prefix.network_address), int(prefix.netmask)
 
 
 def proto_name(proto: int) -> str:

@@ -73,7 +73,9 @@ class UDPSocket:
 
         The packet is stamped with this socket's context id (xid) and
         handed to the stack's local-output path.  Routing errors
-        propagate to the caller, as a failing ``sendto(2)`` would.
+        propagate to the caller, as a failing ``sendto(2)`` would.  A
+        string ``dst`` is parsed on every call, so a sender of many
+        packets passes an :class:`IPv4Address` it parsed once.
         """
         self._ensure_open()
         if self.port == 0:

@@ -20,7 +20,7 @@ Input
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.net.addressing import (
     PROTO_ICMP,
@@ -74,6 +74,9 @@ class IPStack:
         self._bwlimiters: Dict[str, object] = {}
         self._next_ephemeral = EPHEMERAL_PORT_START
         self._echo_listeners: Dict[int, Callable[[Packet], None]] = {}
+        #: ``int`` of every interface address, rebuilt on the first
+        #: lookup after an interface is added, removed or readdressed.
+        self._local_ints: Optional[Set[int]] = None
         # counters
         self.sent_packets = 0
         self.delivered_packets = 0
@@ -93,6 +96,7 @@ class IPStack:
             raise ValueError(f"interface {iface.name!r} already exists on {self.name}")
         iface.stack = self
         self.interfaces[iface.name] = iface
+        self.addresses_changed()
         return iface
 
     def remove_interface(self, name: str) -> None:
@@ -106,6 +110,7 @@ class IPStack:
             raise KeyError(f"no interface {name!r} on {self.name}")
         iface.bring_down()
         iface.stack = None
+        self.addresses_changed()
         self.rpdb.purge_dev(name)
 
     def iface(self, name: str) -> Interface:
@@ -131,10 +136,17 @@ class IPStack:
 
     def is_local_address(self, addr: AddressLike) -> bool:
         """Whether ``addr`` belongs to this node (incl. 127/8)."""
-        address = ip(addr)
-        if address.is_loopback:
+        value = int(ip(addr))
+        if value >> 24 == 127:
             return True
-        return any(i.address == address for i in self.interfaces.values())
+        local = self._local_ints
+        if local is None:
+            local = self._local_ints = {int(a) for a in self.local_addresses()}
+        return value in local
+
+    def addresses_changed(self) -> None:
+        """Forget the local-address set; interfaces call this on (re)configure."""
+        self._local_ints = None
 
     # -- sockets --------------------------------------------------------
 

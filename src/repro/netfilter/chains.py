@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.packet import Packet
-from repro.netfilter.matches import Match
+from repro.netfilter.matches import Match, Predicate
 from repro.netfilter.targets import Target, Verdict
 
 #: Hook points in traversal order for locally generated traffic.
@@ -58,7 +58,11 @@ class PacketContext:
 
 
 class Rule:
-    """A list of matches plus a target, with iptables-style counters."""
+    """A list of matches plus a target, with iptables-style counters.
+
+    The matches are compiled into one predicate, :attr:`test`, when the
+    rule is built; rules and their matches are never changed afterwards.
+    """
 
     def __init__(self, matches: List[Match], target: Target, comment: str = ""):
         self.matches = list(matches)
@@ -66,19 +70,8 @@ class Rule:
         self.comment = comment
         self.packets = 0
         self.bytes = 0
-
-    def try_apply(self, ctx: PacketContext):
-        """If every match passes, bump counters and apply the target.
-
-        Returns the target's result, or the sentinel string
-        ``"NOMATCH"`` when a match failed.
-        """
-        for match in self.matches:
-            if not match.matches(ctx):
-                return "NOMATCH"
-        self.packets += 1
-        self.bytes += ctx.packet.length
-        return self.target.apply(ctx)
+        #: every match folded into one call; ``None`` matches every packet.
+        self.test = _all_of([match.predicate() for match in self.matches])
 
     def __repr__(self) -> str:
         clauses = " ".join(repr(m) for m in self.matches)
@@ -86,6 +79,17 @@ class Rule:
         if self.comment:
             text += f"  # {self.comment}"
         return text
+
+
+def _all_of(tests: List[Predicate]) -> Optional[Predicate]:
+    """One predicate that holds when every one of ``tests`` does, in order."""
+    if not tests:
+        return None
+    first = tests[0]
+    if len(tests) == 1:
+        return first
+    rest = _all_of(tests[1:])
+    return lambda ctx: first(ctx) and rest(ctx)
 
 
 class Chain:
@@ -128,14 +132,21 @@ class Chain:
         end-of-chain into their policy.
         """
         for rule in self.rules:
-            result = rule.try_apply(ctx)
-            if result == "NOMATCH" or result is None:
+            test = rule.test
+            if test is not None and not test(ctx):
                 continue
-            return result
+            rule.packets += 1
+            rule.bytes += ctx.packet.length
+            result = rule.target.apply(ctx)
+            if result is not None:
+                return result
+        return self.fall_through()
+
+    def fall_through(self) -> Optional[Verdict]:
+        """End of chain: count and return the policy (``None`` for user chains)."""
         if self.policy is not None:
             self.policy_packets += 1
-            return self.policy
-        return None
+        return self.policy
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         policy = self.policy.value if self.policy else "-"
@@ -181,6 +192,12 @@ class Netfilter:
         # lint rule: no runtime string building per event).
         self._drop_counter_names: Dict[int, str] = {}
         self._mark_counter_names: Dict[int, str] = {}
+        # Built-in chains are never replaced, so each hook's chains are
+        # resolved once, in table order.
+        self._hook_chains: Dict[str, Tuple[Chain, ...]] = {
+            hook: tuple(self.tables[name].chains[hook] for name in order)
+            for hook, order in HOOK_TABLE_ORDER.items()
+        }
 
     def _drop_counter_name(self, xid: int) -> str:
         name = self._drop_counter_names.get(xid)
@@ -201,7 +218,7 @@ class Netfilter:
             self.metrics.counter(self._drop_counter_name(packet.xid)).inc()
 
     def _note_mark(self, packet: Packet, mark_before: int) -> None:
-        if self.metrics is not None and packet.mark != mark_before:
+        if packet.mark != mark_before:
             self.metrics.counter("netfilter.marked").inc()
             self.metrics.counter(self._mark_counter_name(packet.xid)).inc()
 
@@ -218,18 +235,7 @@ class Netfilter:
         now: Optional[float] = None,
     ) -> bool:
         """Run every table registered at ``hook``; False means DROP."""
-        ctx = PacketContext(packet, hook, in_iface=in_iface, out_iface=out_iface, now=now)
-        mark_before = packet.mark
-        for table_name in HOOK_TABLE_ORDER[hook]:
-            chain = self.tables[table_name].chains.get(hook)
-            if chain is None:
-                continue
-            verdict = chain.traverse(ctx)
-            if verdict == Verdict.DROP:
-                self._note_drop(packet, hook)
-                return False
-        self._note_mark(packet, mark_before)
-        return True
+        return self._run(self._hook_chains[hook], hook, packet, in_iface, out_iface, now)
 
     def run_chain(
         self,
@@ -247,13 +253,33 @@ class Netfilter:
         while ``filter/OUTPUT`` runs after, once the output interface is
         known.
         """
-        ctx = PacketContext(packet, hook, in_iface=in_iface, out_iface=out_iface, now=now)
         chain = self.tables[table].chains.get(hook)
         if chain is None:
             return True
+        return self._run((chain,), hook, packet, in_iface, out_iface, now)
+
+    def _run(
+        self,
+        chains: Tuple[Chain, ...],
+        hook: str,
+        packet: Packet,
+        in_iface: Optional[str],
+        out_iface: Optional[str],
+        now: Optional[float],
+    ) -> bool:
+        # An empty chain only counts its policy: no context is built for it.
+        ctx = None
         mark_before = packet.mark
-        if chain.traverse(ctx) == Verdict.DROP:
-            self._note_drop(packet, hook)
-            return False
-        self._note_mark(packet, mark_before)
+        for chain in chains:
+            if chain.rules:
+                if ctx is None:
+                    ctx = PacketContext(packet, hook, in_iface, out_iface, now)
+                verdict = chain.traverse(ctx)
+            else:
+                verdict = chain.fall_through()
+            if verdict is Verdict.DROP:
+                self._note_drop(packet, hook)
+                return False
+        if self.metrics is not None:
+            self._note_mark(packet, mark_before)
         return True

@@ -4,31 +4,49 @@ Every match supports inversion (iptables ``!``).  The
 :class:`XidMatch` models the VNET+ extension PlanetLab added so
 iptables can select packets by the VServer context (slice) that
 generated them — the feature §2.3 of the paper builds on.
+
+A match is compiled once, when its rule is built: :meth:`Match.predicate`
+returns one callable with the match's fields bound in and the inversion
+folded in.  Matches are never changed after construction, so the
+compiled form needs no invalidation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from repro.net.addressing import IPv4Network, NetworkLike, network
+from repro.net.addressing import IPv4Network, NetworkLike, network, prefix_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netfilter.chains import PacketContext
 
+#: A compiled test over one hook traversal's context.
+Predicate = Callable[["PacketContext"], bool]
+
 
 class Match:
-    """Base class: a predicate over (packet, hook context)."""
+    """Base class: a predicate over (packet, hook context).
+
+    Subclasses implement :meth:`_compile`, returning the bare
+    (un-inverted) test.
+    """
 
     def __init__(self, invert: bool = False):
         self.invert = invert
 
-    def _test(self, ctx: "PacketContext") -> bool:
+    def _compile(self) -> Predicate:
         raise NotImplementedError
+
+    def predicate(self) -> Predicate:
+        """The match as one callable, honouring inversion."""
+        test = self._compile()
+        if self.invert:
+            return lambda ctx: not test(ctx)
+        return test
 
     def matches(self, ctx: "PacketContext") -> bool:
         """Apply the predicate, honouring inversion."""
-        result = self._test(ctx)
-        return not result if self.invert else result
+        return self.predicate()(ctx)
 
     def _bang(self) -> str:
         return "! " if self.invert else ""
@@ -41,8 +59,9 @@ class ProtocolMatch(Match):
         super().__init__(invert)
         self.proto = proto
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.proto == self.proto
+    def _compile(self) -> Predicate:
+        proto = self.proto
+        return lambda ctx: ctx.packet.proto == proto
 
     def __repr__(self) -> str:
         return f"{self._bang()}-p {self.proto}"
@@ -55,8 +74,9 @@ class SourceMatch(Match):
         super().__init__(invert)
         self.prefix: IPv4Network = network(prefix)
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.src in self.prefix
+    def _compile(self) -> Predicate:
+        net, mask = prefix_bits(self.prefix)
+        return lambda ctx: int(ctx.packet.src) & mask == net
 
     def __repr__(self) -> str:
         return f"{self._bang()}-s {self.prefix}"
@@ -69,8 +89,9 @@ class DestinationMatch(Match):
         super().__init__(invert)
         self.prefix: IPv4Network = network(prefix)
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.dst in self.prefix
+    def _compile(self) -> Predicate:
+        net, mask = prefix_bits(self.prefix)
+        return lambda ctx: int(ctx.packet.dst) & mask == net
 
     def __repr__(self) -> str:
         return f"{self._bang()}-d {self.prefix}"
@@ -83,8 +104,9 @@ class InInterfaceMatch(Match):
         super().__init__(invert)
         self.name = name
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.in_iface == self.name
+    def _compile(self) -> Predicate:
+        name = self.name
+        return lambda ctx: ctx.in_iface == name
 
     def __repr__(self) -> str:
         return f"{self._bang()}-i {self.name}"
@@ -97,8 +119,9 @@ class OutInterfaceMatch(Match):
         super().__init__(invert)
         self.name = name
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.out_iface == self.name
+    def _compile(self) -> Predicate:
+        name = self.name
+        return lambda ctx: ctx.out_iface == name
 
     def __repr__(self) -> str:
         return f"{self._bang()}-o {self.name}"
@@ -112,8 +135,10 @@ class MarkMatch(Match):
         self.mark = mark
         self.mask = mask
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return (ctx.packet.mark & self.mask) == (self.mark & self.mask)
+    def _compile(self) -> Predicate:
+        mask = self.mask
+        wanted = self.mark & mask
+        return lambda ctx: ctx.packet.mark & mask == wanted
 
     def __repr__(self) -> str:
         return f"-m mark {self._bang()}--mark {self.mark:#x}/{self.mask:#x}"
@@ -130,8 +155,9 @@ class XidMatch(Match):
         super().__init__(invert)
         self.xid = xid
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.xid == self.xid
+    def _compile(self) -> Predicate:
+        xid = self.xid
+        return lambda ctx: ctx.packet.xid == xid
 
     def __repr__(self) -> str:
         return f"-m xid {self._bang()}--xid {self.xid}"
@@ -144,8 +170,9 @@ class SportMatch(Match):
         super().__init__(invert)
         self.port = port
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.sport == self.port
+    def _compile(self) -> Predicate:
+        port = self.port
+        return lambda ctx: ctx.packet.sport == port
 
     def __repr__(self) -> str:
         return f"{self._bang()}--sport {self.port}"
@@ -158,8 +185,9 @@ class DportMatch(Match):
         super().__init__(invert)
         self.port = port
 
-    def _test(self, ctx: "PacketContext") -> bool:
-        return ctx.packet.dport == self.port
+    def _compile(self) -> Predicate:
+        port = self.port
+        return lambda ctx: ctx.packet.dport == port
 
     def __repr__(self) -> str:
         return f"{self._bang()}--dport {self.port}"

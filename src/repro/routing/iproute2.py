@@ -89,10 +89,13 @@ class IpRoute2:
         table: Optional[str] = None,
         src: Optional[NetworkLike] = None,
         fwmark: Optional[int] = None,
+        iif: Optional[str] = None,
     ) -> int:
         """Delete matching rules (``ip rule del``)."""
         try:
-            return self.rpdb.delete_rule(pref=pref, table=table, src=src, fwmark=fwmark)
+            return self.rpdb.delete_rule(
+                pref=pref, table=table, src=src, fwmark=fwmark, iif=iif
+            )
         except ValueError as exc:
             raise IpRouteError(str(exc)) from exc
 
@@ -182,6 +185,7 @@ class IpRoute2:
                 table=table,
                 src=src,
                 fwmark=mark,
+                iif=iif,
             )
 
 

@@ -145,6 +145,7 @@ class RoutingPolicyDatabase:
         table: Optional[str] = None,
         src: Optional[NetworkLike] = None,
         fwmark: Optional[int] = None,
+        iif: Optional[str] = None,
     ) -> int:
         """Delete rules matching every given criterion; returns count."""
         src_net = network(src) if src is not None else None
@@ -156,6 +157,7 @@ class RoutingPolicyDatabase:
                 and (table is None or rule.table == table)
                 and (src_net is None or rule.src == src_net)
                 and (fwmark is None or rule.fwmark == fwmark)
+                and (iif is None or rule.iif == iif)
             ):
                 removed += 1
             else:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.addressing import (
     AddressLike,
@@ -11,6 +11,7 @@ from repro.net.addressing import (
     NetworkLike,
     ip,
     network,
+    prefix_bits,
 )
 
 
@@ -39,10 +40,6 @@ class Route:
         self.src: Optional[IPv4Address] = ip(src) if src is not None else None
         self.metric = metric
 
-    def matches(self, dst: IPv4Address) -> bool:
-        """True when ``dst`` falls inside this route's prefix."""
-        return dst in self.prefix
-
     def key(self) -> tuple:
         """Identity key used for replace/delete semantics."""
         return (self.prefix, self.dev, self.via, self.metric)
@@ -66,11 +63,18 @@ class Route:
 
 
 class RoutingTable:
-    """A named list of routes with longest-prefix-match lookup."""
+    """A named list of routes with longest-prefix-match lookup.
+
+    Lookups go through an index rebuilt on the first lookup after a
+    write: the prefix lengths present, longest first, each with a dict
+    from ``int(network) & mask`` to that prefix's routes in install
+    order.  A lookup probes one dict per length.
+    """
 
     def __init__(self, name: str):
         self.name = name
         self._routes: List[Route] = []
+        self._index: Optional[List[Tuple[int, Dict[int, List[Route]]]]] = None
 
     def __len__(self) -> int:
         return len(self._routes)
@@ -83,6 +87,7 @@ class RoutingTable:
 
         Duplicate (same prefix/dev/via/metric) installs raise unless
         ``replace`` is set, mirroring ``ip route add`` vs ``replace``.
+        A replaced route moves to the end of the install order.
         """
         existing = [r for r in self._routes if r.key() == route.key()]
         if existing:
@@ -91,6 +96,7 @@ class RoutingTable:
             for r in existing:
                 self._routes.remove(r)
         self._routes.append(route)
+        self._index = None
 
     def delete(
         self,
@@ -115,40 +121,50 @@ class RoutingTable:
         if not removed:
             raise ValueError(f"no such route: {prefix}")
         self._routes = survivors
+        self._index = None
 
     def flush(self) -> None:
         """Remove every route."""
         self._routes.clear()
+        self._index = None
 
     def remove_dev(self, dev: str) -> int:
         """Remove all routes through ``dev`` (interface went away)."""
         before = len(self._routes)
         self._routes = [r for r in self._routes if r.dev != dev]
+        self._index = None
         return before - len(self._routes)
 
     def lookup(self, dst: AddressLike, oif: Optional[str] = None) -> Optional[Route]:
         """Longest-prefix match; ties broken by lowest metric, then
-        most-recent install (Linux picks the first found; we keep it
+        first installed (Linux picks the first found; we keep it
         deterministic).  ``oif`` restricts candidates to one output
         device (the SO_BINDTODEVICE-constrained lookup)."""
-        destination = ip(dst)
-        best: Optional[Route] = None
+        value = int(ip(dst))
+        index = self._index
+        if index is None:
+            index = self._index = self._build_index()
+        for mask, prefixes in index:
+            routes = prefixes.get(value & mask)
+            if routes is None:
+                continue
+            best: Optional[Route] = None
+            for route in routes:
+                if oif is not None and route.dev != oif:
+                    continue
+                if best is None or route.metric < best.metric:
+                    best = route
+            if best is not None:
+                return best
+        return None
+
+    def _build_index(self) -> List[Tuple[int, Dict[int, List[Route]]]]:
+        by_length: Dict[int, Tuple[int, Dict[int, List[Route]]]] = {}
         for route in self._routes:
-            if not route.matches(destination):
-                continue
-            if oif is not None and route.dev != oif:
-                continue
-            if best is None:
-                best = route
-                continue
-            if route.prefix.prefixlen > best.prefix.prefixlen:
-                best = route
-            elif (
-                route.prefix.prefixlen == best.prefix.prefixlen
-                and route.metric < best.metric
-            ):
-                best = route
-        return best
+            net, mask = prefix_bits(route.prefix)
+            _, prefixes = by_length.setdefault(route.prefix.prefixlen, (mask, {}))
+            prefixes.setdefault(net, []).append(route)
+        return [by_length[length] for length in sorted(by_length, reverse=True)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RoutingTable {self.name!r} routes={len(self._routes)}>"

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 from repro.net.addressing import IPv4Address, ip
 from repro.net.stack import IPStack
 from repro.netfilter.chains import HOOK_FORWARD, PacketContext, Rule
-from repro.netfilter.matches import DestinationMatch, InInterfaceMatch, Match
+from repro.netfilter.matches import DestinationMatch, InInterfaceMatch, Match, Predicate
 from repro.netfilter.targets import DropTarget
 from repro.sim.engine import Simulator
 from repro.umts.pool import AddressPool
@@ -37,9 +37,14 @@ class EstablishedFlowMatch(Match):
         super().__init__(invert)
         self.ggsn = ggsn
 
-    def _test(self, ctx: PacketContext) -> bool:
-        now = ctx.now if ctx.now is not None else 0.0
-        return self.ggsn.is_established(ctx.packet.src, ctx.packet.dst, now)
+    def _compile(self) -> Predicate:
+        ggsn = self.ggsn
+
+        def established(ctx: PacketContext) -> bool:
+            now = ctx.now if ctx.now is not None else 0.0
+            return ggsn.is_established(ctx.packet.src, ctx.packet.dst, now)
+
+        return established
 
     def __repr__(self) -> str:
         return f"-m conntrack {self._bang()}--ctstate ESTABLISHED"

@@ -58,6 +58,23 @@ def test_oversized_packet_dropped_not_raised():
     assert iface.tx_packets == 0
 
 
+@pytest.mark.parametrize("size, sent", [(1472, True), (1473, False)])
+def test_mtu_counts_the_ip_header(size, sent):
+    # A UDP packet's length includes its 20-byte IP and 8-byte UDP
+    # headers: 1472 bytes of payload is exactly 1500 on the wire.
+    sim = Simulator()
+    got = []
+    iface = EthernetInterface("eth0", mtu=1500)
+    iface.attach(Channel(sim, got.append, rate_bps=1e6, delay=0.0))
+    iface.bring_up()
+    packet = Packet("10.0.0.1", size=size)
+    assert packet.length == 1500 if sent else packet.length == 1501
+    iface.transmit(packet)
+    sim.run()
+    assert (got == [packet]) is sent
+    assert iface.tx_dropped == (0 if sent else 1)
+
+
 def test_counters_track_traffic():
     sim = Simulator()
     a = EthernetInterface("eth0")

@@ -276,3 +276,25 @@ def test_is_local_address(sim):
     assert alice.is_local_address("10.0.0.1")
     assert alice.is_local_address("127.0.0.1")
     assert not alice.is_local_address("10.0.0.2")
+
+
+def test_redialled_ppp0_address_is_local(sim):
+    from repro.net.interface import PPPInterface
+
+    stack = IPStack(sim, "node")
+    ppp = PPPInterface("ppp0")
+    ppp.configure_p2p("10.64.0.5", "10.64.0.1")
+    stack.add_interface(ppp)
+    assert stack.is_local_address("10.64.0.5")
+    # Renegotiated in place, then torn down and dialled again.
+    ppp.configure_p2p("10.64.0.6", "10.64.0.1")
+    assert not stack.is_local_address("10.64.0.5")
+    assert stack.is_local_address("10.64.0.6")
+    stack.remove_interface("ppp0")
+    assert not stack.is_local_address("10.64.0.6")
+    redial = PPPInterface("ppp0")
+    stack.add_interface(redial)
+    assert not stack.is_local_address("10.64.0.7")
+    redial.configure_p2p("10.64.0.7", "10.64.0.1")
+    assert stack.is_local_address("10.64.0.7")
+    assert stack.is_local_address("127.3.2.1")

@@ -157,3 +157,11 @@ def test_string_route_add_with_src_and_metric(ipr):
     route = ipr.route_list()[0]
     assert str(route.src) == "10.0.0.9"
     assert route.metric == 7
+
+
+def test_rule_del_by_iif_keeps_other_iifs(ipr):
+    ipr.run("rule add iif eth1 lookup t1 pref 100")
+    ipr.run("rule add iif eth2 lookup t1 pref 100")
+    ipr.run("rule del iif eth1 lookup t1 pref 100")
+    left = [r for r in ipr.rule_list() if r.pref == 100]
+    assert [r.iif for r in left] == ["eth2"]

@@ -95,3 +95,16 @@ def test_oif_constraint_property(routes, dst, oif):
         assert all(
             not (dst in r.prefix and r.dev == oif) for r in table
         )
+
+
+@given(routes_strategy, addresses, st.sampled_from([None, "eth0", "eth1", "ppp0"]))
+@settings(max_examples=200)
+def test_oif_constrained_lookup_matches_brute_force(routes, dst, oif):
+    table = RoutingTable("t")
+    for route in routes:
+        try:
+            table.add(route)
+        except ValueError:
+            continue
+    candidates = [r for r in table if oif is None or r.dev == oif]
+    assert table.lookup(dst, oif=oif) is brute_force_lookup(candidates, dst)

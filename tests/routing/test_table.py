@@ -32,6 +32,22 @@ def test_metric_breaks_ties():
     assert table.lookup("10.1.1.1").dev == "eth1"
 
 
+def test_equal_metric_tie_goes_to_first_installed():
+    table = RoutingTable("main")
+    table.add(Route("10.0.0.0/8", "eth0", metric=5))
+    table.add(Route("10.0.0.0/8", "eth1", metric=5))
+    assert table.lookup("10.1.1.1").dev == "eth0"
+
+
+def test_replace_moves_route_to_end_of_install_order():
+    table = RoutingTable("main")
+    table.add(Route("10.0.0.0/8", "eth0", metric=5))
+    table.add(Route("10.0.0.0/8", "eth1", metric=5))
+    table.add(Route("10.0.0.0/8", "eth0", metric=5, src="10.0.0.9"), replace=True)
+    assert [r.dev for r in table] == ["eth1", "eth0"]
+    assert table.lookup("10.1.1.1").dev == "eth1"
+
+
 def test_duplicate_add_rejected():
     table = RoutingTable("main")
     table.add(Route("10.0.0.0/8", "eth0"))
