@@ -61,7 +61,9 @@ class Rule:
     """A list of matches plus a target, with iptables-style counters.
 
     The matches are compiled into one predicate, :attr:`test`, when the
-    rule is built; rules and their matches are never changed afterwards.
+    rule is built; rules and their matches are never changed afterwards,
+    so the rendering (what ``-D`` by specification compares) is cached on
+    first use.
     """
 
     def __init__(self, matches: List[Match], target: Target, comment: str = ""):
@@ -72,12 +74,16 @@ class Rule:
         self.bytes = 0
         #: every match folded into one call; ``None`` matches every packet.
         self.test = _all_of([match.predicate() for match in self.matches])
+        self._text: Optional[str] = None
 
     def __repr__(self) -> str:
-        clauses = " ".join(repr(m) for m in self.matches)
-        text = f"{clauses} {self.target!r}".strip()
-        if self.comment:
-            text += f"  # {self.comment}"
+        text = self._text
+        if text is None:
+            clauses = " ".join(repr(m) for m in self.matches)
+            text = f"{clauses} {self.target!r}".strip()
+            if self.comment:
+                text += f"  # {self.comment}"
+            self._text = text
         return text
 
 

@@ -13,9 +13,9 @@ marking rules on ``umts del <dest>``.
 
 from __future__ import annotations
 
-import shlex
 from typing import List, Optional
 
+from repro.argv import split as split_command
 from repro.net.addressing import PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from repro.netfilter.chains import Chain, Netfilter, Rule
 from repro.netfilter.matches import (
@@ -95,7 +95,10 @@ class Iptables:
         target_chain = self._chain(table, chain)
         if target_chain.policy is None:
             raise IptablesError(f"cannot set policy on user chain {chain!r}")
-        target_chain.policy = Verdict(verdict)
+        try:
+            target_chain.policy = Verdict(verdict)
+        except ValueError as exc:
+            raise IptablesError(f"bad policy {verdict!r} for {chain!r}") from exc
 
     def list_rules(self, table: str, chain: str) -> List[Rule]:
         """``-L``: the rules of a chain, in order."""
@@ -132,7 +135,7 @@ class Iptables:
         Returns the created rule for ``-A``/``-I``, ``None`` otherwise.
         """
         self.history.append(command)
-        argv = shlex.split(command)
+        argv = split_command(command)
         if argv and argv[0] == "iptables":
             argv = argv[1:]
         table = "filter"
@@ -159,7 +162,7 @@ class Iptables:
                 operation = token
                 chain = _take_value(tokens, i, command)
                 i += 2
-                if i < len(tokens) and tokens[i].isdigit():
+                if i < len(tokens) and tokens[i].isdecimal():
                     index = int(tokens[i]) - 1  # iptables -I is 1-based
                     i += 1
             else:
@@ -177,10 +180,15 @@ class Iptables:
             return None
         if chain is None:
             raise IptablesError(f"missing chain in {command!r}")
-        rule = self._parse_rule_spec(remaining, command)
+        try:
+            rule = self._parse_rule_spec(remaining, command)
+        except ValueError as exc:  # a number or address operand that does not parse
+            raise IptablesError(f"bad operand in {command!r}: {exc}") from exc
         if operation == "-A":
             return self.append(table, chain, rule)
         if operation == "-I":
+            if not 0 <= index <= len(self._chain(table, chain).rules):
+                raise IptablesError(f"rule number {index + 1} out of range in {command!r}")
             return self.insert(table, chain, rule, index)
         self.delete_spec(table, chain, rule)
         return None

@@ -9,9 +9,9 @@ exact sequence the back-end issued.
 
 from __future__ import annotations
 
-import shlex
 from typing import List, Optional
 
+from repro.argv import split as split_command
 from repro.net.addressing import AddressLike, NetworkLike
 from repro.routing.rpdb import RoutingPolicyDatabase, Rule
 from repro.routing.table import Route
@@ -42,7 +42,10 @@ class IpRoute2:
         replace: bool = False,
     ) -> Route:
         """Install a route (``ip route add``; ``replace`` for ``ip route replace``)."""
-        route = Route(prefix, dev, via=via, src=src, metric=metric)
+        try:
+            route = Route(prefix, dev, via=via, src=src, metric=metric)
+        except ValueError as exc:
+            raise IpRouteError(str(exc)) from exc
         self.rpdb.table(table).add(route, replace=replace)
         return route
 
@@ -76,8 +79,8 @@ class IpRoute2:
         iif: Optional[str] = None,
     ) -> Rule:
         """Install a policy rule (``ip rule add``)."""
-        rule = Rule(pref, table, src=src, fwmark=fwmark, iif=iif)
         try:
+            rule = Rule(pref, table, src=src, fwmark=fwmark, iif=iif)
             self.rpdb.add_rule(rule)
         except ValueError as exc:
             raise IpRouteError(str(exc)) from exc
@@ -114,7 +117,7 @@ class IpRoute2:
         else raises :class:`IpRouteError`.
         """
         self.history.append(command)
-        argv = shlex.split(command)
+        argv = split_command(command)
         if argv and argv[0] == "ip":
             argv = argv[1:]
         if len(argv) < 2:
@@ -143,7 +146,7 @@ class IpRoute2:
         dev = options.pop("dev", None)
         via = options.pop("via", None)
         src = options.pop("src", None)
-        metric = int(options.pop("metric", 0))
+        metric = _number(options.pop("metric", "0"), command)
         if options:
             raise IpRouteError(f"unsupported route options {sorted(options)} in {command!r}")
         if verb in ("add", "replace"):
@@ -174,19 +177,28 @@ class IpRoute2:
         iif = options.pop("iif", None)
         if options:
             raise IpRouteError(f"unsupported rule options {sorted(options)} in {command!r}")
-        mark = int(fwmark, 0) if fwmark is not None else None
+        mark = _number(fwmark, command, 0) if fwmark is not None else None
+        number = _number(pref, command) if pref is not None else None
         if verb == "add":
-            if table is None or pref is None:
+            if table is None or number is None:
                 raise IpRouteError(f"rule add needs lookup and pref: {command!r}")
-            self.rule_add(table, int(pref), src=src, fwmark=mark, iif=iif)
+            self.rule_add(table, number, src=src, fwmark=mark, iif=iif)
         else:
             self.rule_del(
-                pref=int(pref) if pref is not None else None,
+                pref=number,
                 table=table,
                 src=src,
                 fwmark=mark,
                 iif=iif,
             )
+
+
+def _number(text: str, command: str, base: int = 10) -> int:
+    """An integer operand of ``command``."""
+    try:
+        return int(text, base)
+    except ValueError as exc:
+        raise IpRouteError(f"bad number {text!r} in {command!r}") from exc
 
 
 def _parse_pairs(tokens: List[str], command: str) -> dict:

@@ -6,6 +6,7 @@ import inspect
 import shlex
 from typing import Any, Callable, Dict, Generator, List, NamedTuple, Sequence, Set
 
+from repro.argv import split as split_command
 from repro.faults.errors import VsysProtocolError
 from repro.sim.engine import Simulator
 from repro.sim.process import Process, spawn
@@ -223,6 +224,6 @@ def _parse_request(line: Any) -> List[str]:
     if not isinstance(line, str):
         raise VsysProtocolError(f"expected a request line, got {type(line).__name__}")
     try:
-        return shlex.split(line)
+        return split_command(line)
     except ValueError as exc:
         raise VsysProtocolError(str(exc)) from exc

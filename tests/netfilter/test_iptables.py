@@ -172,3 +172,37 @@ def test_insert_typed_api_index(ipt):
     first = ipt.append("filter", "OUTPUT", Rule([], AcceptTarget()))
     second = ipt.insert("filter", "OUTPUT", Rule([], DropTarget()), index=1)
     assert ipt.list_rules("filter", "OUTPUT") == [first, second]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "-P INPUT BOGUS",
+        "-A OUTPUT --xid abc -j DROP",
+        "-A OUTPUT -d 1.2.3.300 -j DROP",
+        "-A OUTPUT -j MARK --set-mark zz",
+    ],
+)
+def test_malformed_operand_raises_iptables_error(ipt, command):
+    with pytest.raises(IptablesError):
+        ipt.run(command)
+    assert ipt.list_rules("filter", "OUTPUT") == []
+
+
+@pytest.mark.parametrize("number", ["0", "4"])
+def test_insert_rule_number_out_of_range_raises(ipt, number):
+    rules = [ipt.run(f"-A OUTPUT -o eth{n} -j ACCEPT") for n in range(2)]
+    with pytest.raises(IptablesError):
+        ipt.run(f"-I OUTPUT {number} -o ppp0 -j DROP")
+    assert ipt.list_rules("filter", "OUTPUT") == rules
+
+
+def test_delete_spec_removes_first_of_duplicates(ipt):
+    spec = "-t mangle {} OUTPUT -m xid --xid 510 -d 1.2.3.4 -j MARK --set-mark 1"
+    ipt.run(spec.format("-A"))
+    other = ipt.run("-t mangle -A OUTPUT -d 1.2.3.4 -j MARK --set-mark 1")
+    second = ipt.run(spec.format("-A"))
+    ipt.run(spec.format("-D"))
+    assert ipt.list_rules("mangle", "OUTPUT") == [other, second]
+    ipt.run(spec.format("-D"))
+    assert ipt.list_rules("mangle", "OUTPUT") == [other]

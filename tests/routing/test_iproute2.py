@@ -165,3 +165,20 @@ def test_rule_del_by_iif_keeps_other_iifs(ipr):
     ipr.run("rule del iif eth1 lookup t1 pref 100")
     left = [r for r in ipr.rule_list() if r.pref == 100]
     assert [r.iif for r in left] == ["eth2"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "route add 10.0.0.0/8 dev eth0 metric abc",
+        "route add 10.0.0.300/8 dev eth0",
+        "rule add fwmark zz lookup main pref 5",
+        "rule add lookup main pref x",
+    ],
+)
+def test_malformed_operand_raises_iproute_error(ipr, command):
+    rules_before = ipr.rule_list()
+    with pytest.raises(IpRouteError):
+        ipr.run(command)
+    assert ipr.route_list("main") == []
+    assert ipr.rule_list() == rules_before
